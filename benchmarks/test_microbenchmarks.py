@@ -6,7 +6,8 @@ systems reviewer would ask for.  Rough complexity targets:
 
 - batch MLE: O(iterations x observed entries) since the sparse rewrite,
 - Algorithm 1 greedy: O(K (m + n)) pair selections,
-- average-linkage clustering: O(merges x clusters^2) vectorised,
+- average-linkage clustering: O(clusters^2) set-up, then O(clusters) per
+  merge from the cached nearest neighbour of each cluster,
 - SGNS training: O(epochs x pairs x dim).
 
 Setting ``REPRO_BENCH_QUICK=1`` shrinks every size for CI smoke runs (the
@@ -106,6 +107,23 @@ def test_linkage_construction_scaling(benchmark, k):
     groups = [[i] for i in range(k)]
     engine = benchmark(lambda: AverageLinkage(base, groups))
     assert engine.cluster_count == k
+
+
+@pytest.mark.parametrize("k", [160] if QUICK else [800])
+def test_linkage_merge_loop_scaling(benchmark, k):
+    """``merge_until`` from singletons down to one cluster (the merge loop
+    alone; each round gets a freshly constructed engine)."""
+    rng = np.random.default_rng(8)
+    points = rng.random((k, 3))
+    base = np.abs(points[:, None, :] - points[None, :, :]).sum(axis=-1)
+    np.fill_diagonal(base, 0.0)
+    groups = [[i] for i in range(k)]
+    log = benchmark.pedantic(
+        lambda engine: engine.merge_until(np.inf),
+        setup=lambda: ((AverageLinkage(base, groups),), {}),
+        rounds=5,
+    )
+    assert len(log) == k - 1
 
 
 def test_dynamic_add_time(benchmark):

@@ -10,6 +10,19 @@ merging, but summed distances are exact and trivial::
 :class:`AverageLinkage` therefore maintains the cluster-to-cluster *sum*
 matrix and the cluster sizes, exposing merge steps to both the static and the
 dynamic clustering front-ends.
+
+It also caches each slot's nearest neighbour: ``row_min[i]`` is the smallest
+average distance in row ``i`` of :meth:`AverageLinkage.average_distances` and
+``row_arg[i]`` the first column holding it (dead slots and the diagonal are
+inf).  :meth:`~AverageLinkage.closest_pair` is then an O(k) ``argmin`` over
+``row_min`` instead of an O(k²) rescan of the full average matrix, and a
+merge refreshes the cache in O(k): row ``a`` is rescanned, as is every row
+whose nearest neighbour was ``a`` or ``b``; every other row only compares its
+cached minimum with its new entry at ``a``.  The first row holding the
+global minimum, and that row's first column holding it, is exactly the
+position ``np.argmin`` finds on the row-major flattened matrix, so merges are
+identical to the full scan, ties and NaN included (the frozen full-scan copy
+is :class:`repro.perf.reference.ReferenceAverageLinkage`).
 """
 
 from __future__ import annotations
@@ -45,7 +58,10 @@ def _require_symmetric(base: np.ndarray) -> None:
         step = max(1, (1 << 16) // n)
         for start in range(0, n, step):
             stop = min(start + step, n)
-            if not np.allclose(base[start:stop, :], base[:, start:stop].T):
+            block, mirror = base[start:stop, :], base[:, start:stop].T
+            # Exact equality implies allclose and NaN fails both, so the
+            # cheap test first changes no verdict.
+            if not np.array_equal(block, mirror) and not np.allclose(block, mirror):
                 raise ValueError("base distance matrix must be symmetric")
         return
     rng = np.random.default_rng(0xE7A2)
@@ -136,6 +152,10 @@ class AverageLinkage:
             sums = _aggregate_group_sums(base, labels, k)
         self._sums = sums
         self._alive = np.ones(k, dtype=bool)
+        self._row_min = np.full(k, np.inf)
+        self._row_arg = np.zeros(k, dtype=np.int64)
+        if k:
+            self._rescan_rows(np.arange(k))
 
     @property
     def cluster_count(self) -> int:
@@ -173,10 +193,9 @@ class AverageLinkage:
         """Slots of the two closest live clusters and their average distance."""
         if self.cluster_count < 2:
             raise ValueError("need at least two live clusters")
-        avg = self.average_distances()
-        position = int(np.argmin(avg))
-        a, b = divmod(position, avg.shape[1])
-        return (min(a, b), max(a, b), float(avg[a, b]))
+        a = int(np.argmin(self._row_min))
+        b = int(self._row_arg[a])
+        return (min(a, b), max(a, b), float(self._row_min[a]))
 
     def merge(self, a: int, b: int) -> int:
         """Merge slot ``b`` into slot ``a``; returns the surviving slot."""
@@ -197,7 +216,42 @@ class AverageLinkage:
         self._sizes[b] = 0.0
         self._members[a].extend(self._members[b])
         self._members[b] = []
+        self._update_cache(a, b)
         return a
+
+    def _rescan_rows(self, rows: np.ndarray) -> None:
+        """Recompute the nearest-neighbour cache of live ``rows`` in full."""
+        sizes = self._sizes
+        block = self._sums[rows, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            block /= np.multiply.outer(sizes[rows], sizes)
+        block[:, ~self._alive] = np.inf
+        positions = np.arange(rows.size)
+        block[positions, rows] = np.inf
+        nearest = np.argmin(block, axis=1)
+        self._row_arg[rows] = nearest
+        self._row_min[rows] = block[positions, nearest]
+
+    def _update_cache(self, a: int, b: int) -> None:
+        """Refresh the cache after slot ``b`` was merged into slot ``a``."""
+        row_min, row_arg = self._row_min, self._row_arg
+        row_min[b] = np.inf  # a dead row is all inf: first argmin 0
+        row_arg[b] = 0
+        live = self._alive.copy()
+        live[a] = False
+        stale = live & ((row_arg == a) | (row_arg == b))
+        self._rescan_rows(np.append(np.flatnonzero(stale), a))
+        # Every other live row changed only at column ``a``: keep the cached
+        # (value, first column) minimum unless the new entry beats it, with
+        # NaN ranking first as it does for ``np.argmin``.
+        rows = np.flatnonzero(live & ~stale)
+        values = self._sums[rows, a] / (self._sizes[rows] * self._sizes[a])
+        current, first = row_min[rows], row_arg[rows]
+        earlier = a < first
+        take = (values < current) | ((values == current) & earlier)
+        take |= np.isnan(values) & ~(np.isnan(current) & ~earlier)
+        row_min[rows[take]] = values[take]
+        row_arg[rows[take]] = a
 
     def merge_until(self, threshold: float) -> list:
         """Repeatedly merge the closest pair while its distance < ``threshold``.

@@ -5,6 +5,10 @@ layer replaced:
 
 - :func:`reference_linkage_sums` — the O(k²) Python double loop that built
   :class:`~repro.clustering.linkage.AverageLinkage`'s cluster-sum matrix,
+- :class:`ReferenceAverageLinkage` — average linkage whose
+  ``closest_pair`` rebuilds the full k×k average matrix and takes its
+  flattened ``np.argmin`` on every call (the O(k²)-per-merge scan the
+  nearest-neighbour cache replaced; merges must stay bit-identical),
 - :func:`reference_labels_from_clusters` — the per-point label loop,
 - :func:`reference_estimate_truth` — the dense §4.1 batch MLE (full
   ``(n_users, n_tasks)`` products every coordinate iteration),
@@ -22,8 +26,9 @@ layer replaced:
   this copy, and equivalence tests hold the engine to bit-identical
   truths/expertise against it.
 
-They exist so that (a) ``tests/perf/test_equivalence.py`` can prove the
-optimised kernels produce identical clusters and ``allclose`` truths, and
+They exist so that (a) ``tests/perf/test_equivalence.py`` and
+``tests/perf/test_linkage_equivalence.py`` can prove the optimised kernels
+produce identical clusters and merges and ``allclose`` truths, and
 (b) :mod:`repro.perf.baseline` can record optimised-vs-reference speedups
 in ``BENCH_core.json``.  Do not "fix" or optimise this module.
 """
@@ -35,6 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.clustering.dynamic import DynamicHierarchicalClustering
+from repro.clustering.linkage import AverageLinkage
 from repro.core.expertise import DEFAULT_EXPERTISE, clamp_expertise, expertise_from_sums
 from repro.core.truth import (
     ABSOLUTE_TOLERANCE,
@@ -48,6 +54,7 @@ from repro.truthdiscovery.base import ObservationMatrix
 
 __all__ = [
     "reference_linkage_sums",
+    "ReferenceAverageLinkage",
     "reference_labels_from_clusters",
     "reference_estimate_truth",
     "reference_serial_estimate_truth",
@@ -168,6 +175,31 @@ def reference_linkage_sums(base: np.ndarray, groups: Sequence[Sequence[int]]) ->
             sums[a, b] = total
             sums[b, a] = total
     return sums
+
+
+class ReferenceAverageLinkage(AverageLinkage):
+    """Average linkage with the seed full-scan ``closest_pair``.
+
+    Construction and merging are shared with the optimised class, so any
+    divergence is the nearest-neighbour cache's fault.
+    """
+
+    def closest_pair(self) -> "tuple[int, int, float]":
+        """The seed ``AverageLinkage.closest_pair``, with the seed
+        ``average_distances`` inlined (self-contained, so it can also be
+        patched onto :class:`AverageLinkage` itself)."""
+        if self.cluster_count < 2:
+            raise ValueError("need at least two live clusters")
+        sizes = self._sizes
+        with np.errstate(divide="ignore", invalid="ignore"):
+            avg = self._sums / np.outer(sizes, sizes)
+        dead = ~self._alive
+        avg[dead, :] = np.inf
+        avg[:, dead] = np.inf
+        np.fill_diagonal(avg, np.inf)
+        position = int(np.argmin(avg))
+        a, b = divmod(position, avg.shape[1])
+        return (min(a, b), max(a, b), float(avg[a, b]))
 
 
 def reference_labels_from_clusters(clusters, n_points: int) -> np.ndarray:

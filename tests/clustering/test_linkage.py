@@ -111,3 +111,33 @@ def test_full_merge_chain_matches_brute_force(n_points, seed):
     live = engine.live_indices()
     expected = _brute_average(base, members[0], members[1])
     assert avg[live[0], live[1]] == pytest.approx(expected)
+
+
+def test_asymmetry_within_tolerance_accepted():
+    base = np.array([[0.0, 1.0], [1.0 + 1e-12, 0.0]])
+    assert AverageLinkage(base, [[0], [1]]).cluster_count == 2
+
+
+def test_asymmetry_beyond_tolerance_rejected():
+    base = np.array([[0.0, 1.0], [1.0 + 1e-3, 0.0]])
+    with pytest.raises(ValueError, match="symmetric"):
+        AverageLinkage(base, [[0], [1]])
+
+
+def test_nan_distance_rejected():
+    base = np.array([[0.0, np.nan], [np.nan, 0.0]])
+    with pytest.raises(ValueError, match="symmetric"):
+        AverageLinkage(base, [[0], [1]])
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-14, 1e-9, 1e-7, 1e-3])
+def test_symmetry_verdict_matches_allclose(scale):
+    """The exact-equality shortcut accepts exactly what allclose accepts."""
+    rng = np.random.default_rng(11)
+    base = _distance_matrix(rng.random((300, 2)))
+    base += np.triu(rng.random(base.shape) * scale, 1)
+    if np.allclose(base, base.T):
+        AverageLinkage(base, [[i] for i in range(300)])
+    else:
+        with pytest.raises(ValueError, match="symmetric"):
+            AverageLinkage(base, [[i] for i in range(300)])
