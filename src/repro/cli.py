@@ -832,6 +832,10 @@ def _run_serve(args: argparse.Namespace) -> int:
         alpha=args.alpha,
         seed=args.seed,
     )
+    if telemetry is not None:
+        # The service falls back to the system's tracer, metrics and
+        # manifest, so one trace holds serve.* and step/phase/mle events.
+        system.enable_telemetry(telemetry.tracer, telemetry.metrics, telemetry.manifest)
     schema = IngestSchema(
         n_users=trace.n_users,
         n_tasks=max(len(day.tasks) for day in trace.days),
@@ -858,9 +862,6 @@ def _run_serve(args: argparse.Namespace) -> int:
             schema=schema,
             sync=args.sync,
             wal_fault_hook=kill_hook(kill_seqs) if kill_seqs else None,
-            manifest=telemetry.manifest if telemetry is not None else None,
-            tracer=telemetry.tracer if telemetry is not None else None,
-            metrics=telemetry.metrics if telemetry is not None else None,
             slos=slo_rules,
         )
     except Exception as error:  # noqa: BLE001 — ServiceError/WALError/OSError alike

@@ -90,7 +90,7 @@ class StepResult:
     #: budget.  False marks a degraded day: the estimates are the last
     #: iterate, not a fixed point (also logged as a warning).
     converged: bool = True
-    #: Wall-clock seconds per pipeline phase (``identify``/``allocate``/
+    #: Wall-clock self-time seconds per pipeline phase (``identify``/``allocate``/
     #: ``collect``/``truth``), recorded by :class:`~repro.perf.timers.PhaseTimer`.
     timings: "dict | None" = None
     #: Users the allocators excluded this step because the reputation
@@ -143,6 +143,11 @@ class StepResult:
                 )
             )
         return intervals
+
+
+def _task_expertise(update, domains: np.ndarray) -> np.ndarray:
+    """The ``(n_users, n_tasks)`` expertise of a Section 4.2 update's domains."""
+    return np.vstack([update.expertise[d] for d in domains.tolist()]).T
 
 
 def default_embedding(dim: int = 32, seed: int = 0) -> EmbeddingModel:
@@ -683,7 +688,7 @@ class ETA2System:
         return labels, (), ()
 
     # ------------------------------------------------------------------ #
-    # Warm-up (random allocation, batch MLE seed)
+    # The step loop: warm-up, daily and streamed steps share one driver
     # ------------------------------------------------------------------ #
 
     def warmup(self, tasks: Sequence[IncomingTask], observe: Callable) -> StepResult:
@@ -697,72 +702,12 @@ class ETA2System:
         if not tasks:
             raise ValueError("warm-up needs at least one task")
         observe = self._wrap_observe(observe)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                "step.start",
-                step=self.completed_steps + 1,
-                kind="warm-up",
-                n_tasks=len(tasks),
-            )
-        timer = PhaseTimer(tracer=self.tracer)
-        with timer.phase("identify"):
-            domains, merges, new_domains = self._identify_domains(tasks)
-        guard_reports = [self._check_partition(domains, new_domains)]
 
-        with timer.phase("allocate"):
-            eligible, excluded = self._eligibility()
-            problem = self._problem(tasks, self._default_expertise_for(domains), eligible)
+        def gather(timer, problem, domains):
             assignment = self._random.allocate(problem)
-        with timer.phase("collect"):
-            observations = self._collect(assignment, observe)
-        if observations.observation_count == 0:
-            # Total collection outage: nothing to learn from.  Stay in the
-            # warm-up regime (the next day retries warm-up) instead of
-            # seeding expertise from nothing.
-            return self._degraded_result(
-                assignment, observations, domains, merges, new_domains, problem, "warm-up", timer,
-                excluded=excluded,
-            )
+            return assignment, timer.wrap("collect", self._collect)(assignment, observe), None
 
-        with timer.phase("truth"):
-            result = self._estimate_truth_phase(observations, domains)
-            if self.guard is not None:
-                truths, sigmas, truth_report = self.guard.check_truths(
-                    result.truths, result.sigmas, observed=observations.mask.any(axis=0)
-                )
-                expertise, expertise_report = self.guard.check_expertise(result.expertise)
-                guard_reports += [truth_report, expertise_report]
-                if truth_report.repaired or expertise_report.repaired:
-                    result = replace(result, truths=truths, sigmas=sigmas, expertise=expertise)
-            self._updater.seed_from_batch(observations, domains, result)
-        task_expertise = result.expertise_for_tasks(domains)
-        summary = self._record_reputation(observations, result.truths, result.sigmas, task_expertise)
-        self.iteration_log.append(result.iterations)
-        self._warmed_up = True
-        return self._after_step(
-            StepResult(
-                assignment=assignment,
-                observations=observations,
-                truths=result.truths,
-                sigmas=result.sigmas,
-                task_domains=domains,
-                merges=merges,
-                new_domains=new_domains,
-                mle_iterations=result.iterations,
-                allocation_cost=assignment.total_cost(problem.costs),
-                task_expertise=task_expertise,
-                converged=result.converged,
-                timings=timer.timings(),
-                excluded_users=excluded,
-                reputation=summary,
-                guard_report=self._merge_guard_reports(guard_reports),
-            ),
-            "warm-up",
-        )
-
-    # ------------------------------------------------------------------ #
-    # Daily step (Modules 1 + 3 + 2)
-    # ------------------------------------------------------------------ #
+        return self._run_step(tasks, gather)
 
     def step(self, tasks: Sequence[IncomingTask], observe: Callable) -> StepResult:
         """One time step: identify domains, allocate, collect, analyse."""
@@ -771,93 +716,22 @@ class ETA2System:
         if not tasks:
             raise ValueError("step needs at least one task")
         observe = self._wrap_observe(observe)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                "step.start",
-                step=self.completed_steps + 1,
-                kind="daily",
-                n_tasks=len(tasks),
-            )
-        timer = PhaseTimer(tracer=self.tracer)
-        with timer.phase("identify"):
-            domains, merges, new_domains = self._identify_domains(tasks)
-        guard_reports = [self._check_partition(domains, new_domains)]
-        with timer.phase("allocate"):
-            expertise = self._expertise_for(domains)
-            eligible, excluded = self._eligibility()
-            problem = self._problem(tasks, expertise, eligible)
 
-        if self._allocator_kind == "max-quality":
-            with timer.phase("allocate"):
-                assignment = self._max_quality.allocate(problem)
-            self._record_allocation_stats(self._max_quality.last_stats)
-            with timer.phase("collect"):
-                observations = self._collect(assignment, observe)
-        else:
-            # Algorithm 2 interleaves recruiting with collection and truth
-            # previews inside one call: time the nested callbacks directly
-            # and credit the remainder of the span to allocation.
-            start = timer.now()
-            collected_before = timer.get("collect")
-            truth_before = timer.get("truth")
-            outcome = self._min_cost.run(
-                problem,
-                observe=timer.wrap("collect", observe),
-                estimate=timer.wrap("truth", self._min_cost_estimator(domains)),
-            )
-            span = timer.now() - start
-            nested = (timer.get("collect") - collected_before) + (timer.get("truth") - truth_before)
-            timer.add("allocate", span - nested)
-            self._record_allocation_stats(outcome.greedy_stats)
-            assignment = outcome.assignment
-            observations = outcome.observations
-        if observations.observation_count == 0:
-            # Total collection outage: skip the expertise update entirely —
-            # applying the decay with no fresh data would erode the learned
-            # state the outage already made harder to rebuild.
-            return self._degraded_result(
-                assignment, observations, domains, merges, new_domains, problem, "daily", timer,
-                excluded=excluded,
-            )
-        with timer.phase("truth"):
-            incorporate = self._incorporate_phase(observations, domains)
+        def gather(timer, problem, domains):
+            if self._allocator_kind == "min-cost":
+                # Algorithm 2 interleaves recruiting with collection and
+                # truth previews inside one call.
+                outcome = self._min_cost.run(
+                    problem,
+                    observe=timer.wrap("collect", observe),
+                    estimate=timer.wrap("truth", self._min_cost_estimator(domains)),
+                )
+                return outcome.assignment, outcome.observations, outcome.greedy_stats
+            assignment = self._max_quality.allocate(problem)
+            observations = timer.wrap("collect", self._collect)(assignment, observe)
+            return assignment, observations, self._max_quality.last_stats
 
-        self.iteration_log.append(incorporate.iterations)
-        truths, sigmas = incorporate.truths, incorporate.sigmas
-        task_expertise = np.vstack(
-            [incorporate.expertise[d] for d in domains.tolist()]
-        ).T
-        if self.guard is not None:
-            truths, sigmas, truth_report = self.guard.check_truths(
-                truths, sigmas, observed=observations.mask.any(axis=0)
-            )
-            task_expertise, expertise_report = self.guard.check_expertise(task_expertise)
-            guard_reports += [truth_report, expertise_report]
-        summary = self._record_reputation(observations, truths, sigmas, task_expertise)
-        return self._after_step(
-            StepResult(
-                assignment=assignment,
-                observations=observations,
-                truths=truths,
-                sigmas=sigmas,
-                task_domains=domains,
-                merges=merges,
-                new_domains=new_domains,
-                mle_iterations=incorporate.iterations,
-                allocation_cost=assignment.total_cost(problem.costs),
-                task_expertise=task_expertise,
-                converged=incorporate.converged,
-                timings=timer.timings(),
-                excluded_users=excluded,
-                reputation=summary,
-                guard_report=self._merge_guard_reports(guard_reports),
-            ),
-            "daily",
-        )
-
-    # ------------------------------------------------------------------ #
-    # Streamed step (reports arrive from outside; no live allocation)
-    # ------------------------------------------------------------------ #
+        return self._run_step(tasks, gather)
 
     def step_from_batch(self, tasks: Sequence[IncomingTask], reports) -> StepResult:
         """One step driven by externally collected reports.
@@ -877,7 +751,29 @@ class ETA2System:
         """
         if not tasks:
             raise ValueError("step_from_batch needs at least one task")
-        kind = "daily" if self._warmed_up else "warm-up"
+
+        def gather(timer, problem, domains):
+            observations = timer.wrap("collect", self._observations_from_reports)(
+                reports, problem.n_tasks, problem.eligible
+            )
+            # The implied assignment is exactly the observed pairs: cost
+            # accounting charges each task's cost per delivering user.
+            return Assignment(matrix=observations.mask.copy()), observations, None
+
+        return self._run_step(tasks, gather)
+
+    def _run_step(self, tasks: Sequence[IncomingTask], gather: Callable) -> StepResult:
+        """One pass of the Figure 1 loop, shared by every entry point.
+
+        Identify domains, then allocate: ``gather(timer, problem, domains)``
+        runs inside the ``allocate`` phase and returns ``(assignment,
+        observations, greedy_stats)``, timing any collection or truth
+        previews it does as nested phases.  A cold system then seeds
+        expertise with the Section 4.1 batch MLE (warm-up); a warm one
+        applies the Section 4.2 update (daily step).
+        """
+        seeding = not self._warmed_up
+        kind = "warm-up" if seeding else "daily"
         if self.tracer.enabled:
             self.tracer.emit(
                 "step.start",
@@ -891,56 +787,45 @@ class ETA2System:
         guard_reports = [self._check_partition(domains, new_domains)]
         with timer.phase("allocate"):
             eligible, excluded = self._eligibility()
-            expertise = (
-                self._expertise_for(domains)
-                if self._warmed_up
-                else self._default_expertise_for(domains)
+            problem = self._problem(
+                tasks,
+                self._default_expertise_for(domains) if seeding else self._expertise_for(domains),
+                eligible,
             )
-            problem = self._problem(tasks, expertise, eligible)
-        with timer.phase("collect"):
-            observations = self._observations_from_reports(reports, len(tasks), eligible)
-            # The implied assignment is exactly the observed pairs: cost
-            # accounting charges each task's cost per delivering user.
-            assignment = Assignment(matrix=observations.mask.copy())
+            assignment, observations, greedy_stats = gather(timer, problem, domains)
+        self._record_allocation_stats(greedy_stats)
         if observations.observation_count == 0:
+            # Total collection outage: nothing to learn from.  A cold system
+            # stays in the warm-up regime (the next day retries warm-up)
+            # instead of seeding expertise from nothing; a warm one skips the
+            # update, whose decay would erode the learned state.
             return self._degraded_result(
                 assignment, observations, domains, merges, new_domains, problem, kind, timer,
                 excluded=excluded,
             )
-        if not self._warmed_up:
-            with timer.phase("truth"):
+
+        with timer.phase("truth"):
+            if seeding:
                 result = self._estimate_truth_phase(observations, domains)
-                if self.guard is not None:
-                    truths, sigmas, truth_report = self.guard.check_truths(
-                        result.truths, result.sigmas, observed=observations.mask.any(axis=0)
-                    )
-                    expertise_arr, expertise_report = self.guard.check_expertise(result.expertise)
-                    guard_reports += [truth_report, expertise_report]
-                    if truth_report.repaired or expertise_report.repaired:
-                        result = replace(
-                            result, truths=truths, sigmas=sigmas, expertise=expertise_arr
-                        )
-                self._updater.seed_from_batch(observations, domains, result)
+                expertise = result.expertise
+            else:
+                result = self._incorporate_phase(observations, domains)
+                expertise = _task_expertise(result, domains)
             truths, sigmas = result.truths, result.sigmas
-            task_expertise = result.expertise_for_tasks(domains)
-            iterations, converged = result.iterations, result.converged
-            self._warmed_up = True
-        else:
-            with timer.phase("truth"):
-                incorporate = self._incorporate_phase(observations, domains)
-            truths, sigmas = incorporate.truths, incorporate.sigmas
-            task_expertise = np.vstack(
-                [incorporate.expertise[d] for d in domains.tolist()]
-            ).T
             if self.guard is not None:
                 truths, sigmas, truth_report = self.guard.check_truths(
                     truths, sigmas, observed=observations.mask.any(axis=0)
                 )
-                task_expertise, expertise_report = self.guard.check_expertise(task_expertise)
+                expertise, expertise_report = self.guard.check_expertise(expertise)
                 guard_reports += [truth_report, expertise_report]
-            iterations, converged = incorporate.iterations, incorporate.converged
-        summary = self._record_reputation(observations, truths, sigmas, task_expertise)
-        self.iteration_log.append(iterations)
+                if seeding and (truth_report.repaired or expertise_report.repaired):
+                    result = replace(result, truths=truths, sigmas=sigmas, expertise=expertise)
+            if seeding:
+                self._updater.seed_from_batch(observations, domains, result)
+                expertise = result.expertise_for_tasks(domains)
+        summary = self._record_reputation(observations, truths, sigmas, expertise)
+        self.iteration_log.append(result.iterations)
+        self._warmed_up = True
         return self._after_step(
             StepResult(
                 assignment=assignment,
@@ -950,10 +835,10 @@ class ETA2System:
                 task_domains=domains,
                 merges=merges,
                 new_domains=new_domains,
-                mle_iterations=iterations,
+                mle_iterations=result.iterations,
                 allocation_cost=assignment.total_cost(problem.costs),
-                task_expertise=task_expertise,
-                converged=converged,
+                task_expertise=expertise,
+                converged=result.converged,
                 timings=timer.timings(),
                 excluded_users=excluded,
                 reputation=summary,
@@ -1001,7 +886,7 @@ class ETA2System:
         new_domains,
         problem,
         kind: str,
-        timer: "PhaseTimer | None" = None,
+        timer: PhaseTimer,
         excluded: tuple = (),
     ) -> StepResult:
         """The all-NaN outcome of a step whose collection failed entirely.
@@ -1021,9 +906,8 @@ class ETA2System:
                 "step.degraded", kind=kind, n_tasks=int(observations.n_tasks)
             )
         self.iteration_log.append(0)
-        timings = timer.timings() if timer is not None else None
-        if timings is not None:
-            merge_timings(self.phase_totals, timings)
+        timings = timer.timings()
+        merge_timings(self.phase_totals, timings)
         return StepResult(
             assignment=assignment,
             observations=observations,
@@ -1108,9 +992,6 @@ class ETA2System:
             preview = self._incorporate_phase(
                 observations, domains, commit=False, traced=False
             )
-            task_expertise = np.vstack(
-                [preview.expertise[d] for d in domains.tolist()]
-            ).T
-            return preview.truths, preview.sigmas, task_expertise
+            return preview.truths, preview.sigmas, _task_expertise(preview, domains)
 
         return estimate

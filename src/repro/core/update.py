@@ -32,6 +32,8 @@ from repro.core.robust import RobustConfig, weighted_median_truths
 from repro.core.truth import (
     SIGMA_FLOOR,
     TruthAnalysisResult,
+    _truth_delta,
+    _truths_converged,
     update_truths_for_expertise,
 )
 from repro.truthdiscovery.base import ObservationMatrix
@@ -39,9 +41,6 @@ from repro.truthdiscovery.base import ObservationMatrix
 __all__ = ["ExpertiseUpdater", "IncorporateResult"]
 
 _LOG = logging.getLogger(__name__)
-
-RELATIVE_TOLERANCE = 0.05
-ABSOLUTE_TOLERANCE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -229,10 +228,10 @@ class ExpertiseUpdater:
                 d: self._column_from_sums(new_n[d], new_d[d]) for d in distinct
             }
             if iterations > 1:
-                final_delta = self._truth_delta(new_truths, truths)
+                final_delta = _truth_delta(new_truths, truths)
                 if traced:
                     tracer.emit("mle.iteration", iteration=iterations, delta=final_delta)
-                if self._truths_converged(new_truths, truths):
+                if _truths_converged(new_truths, truths):
                     truths = new_truths
                     converged = True
                     break
@@ -341,24 +340,3 @@ class ExpertiseUpdater:
             observations.n_tasks,
             SIGMA_FLOOR,
         )
-
-    @staticmethod
-    def _truth_delta(new: np.ndarray, old: np.ndarray) -> float:
-        """Largest per-task relative change (scale floored for near-zero)."""
-        both = ~(np.isnan(new) | np.isnan(old))
-        if not np.any(both):
-            return 0.0
-        delta = np.abs(new[both] - old[both])
-        scale = np.maximum(np.abs(old[both]), ABSOLUTE_TOLERANCE / RELATIVE_TOLERANCE)
-        return float(np.max(delta / scale))
-
-    @staticmethod
-    def _truths_converged(new: np.ndarray, old: np.ndarray) -> bool:
-        both = ~(np.isnan(new) | np.isnan(old))
-        if not np.any(both):
-            return True
-        delta = np.abs(new[both] - old[both])
-        scale = np.abs(old[both])
-        relative_ok = delta <= RELATIVE_TOLERANCE * np.maximum(scale, 1e-12)
-        absolute_ok = delta <= ABSOLUTE_TOLERANCE
-        return bool(np.all(relative_ok | absolute_ok))

@@ -21,17 +21,20 @@ PHASES = ("identify", "allocate", "collect", "truth")
 
 
 class PhaseTimer:
-    """Accumulates wall-clock seconds per named phase.
+    """Accumulates wall-clock self-time per named phase.
 
     A phase may be entered several times (e.g. ``collect`` once per min-cost
-    recruiting round); durations add up.  Phases are expected to be disjoint
-    in time — callers that time an enclosing span must subtract the nested
-    phases themselves (see :meth:`now` + :meth:`add`).
+    recruiting round); durations add up.  Phases may nest: an inner phase's
+    time is credited to the inner phase alone and subtracted from the phase
+    enclosing it, so min-cost's ``allocate`` span, which runs ``collect``
+    and ``truth`` callbacks inside it, keeps only its own time.
     """
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter, tracer=None):
         self._clock = clock
         self._seconds: dict = {}
+        # One entry per open phase: seconds spent in the phases it encloses.
+        self._nested: list = []
         # A RunTracer (repro.observability) turns each phase block into a
         # phase.start/phase.end span; None keeps the timer telemetry-free.
         self.tracer = tracer
@@ -44,31 +47,30 @@ class PhaseTimer:
         ``phase.start``/``phase.end`` span; wall-clock seconds are added
         to the end event only when the tracer opts into wall time
         (``include_wall_time``), keeping traces replay-deterministic.
+        Those seconds are inclusive of nested phases: trace profiles
+        subtract children themselves.
         """
         tracer = self.tracer
         traced = tracer is not None and tracer.enabled
         if traced:
             tracer.emit("phase.start", phase=name)
+        extra = {}
         start = self._clock()
+        self._nested.append(0.0)
         try:
             yield
         except BaseException as error:
-            elapsed = self._clock() - start
-            self.add(name, elapsed)
-            if traced:
-                self._emit_end(tracer, name, elapsed, error=type(error).__name__)
+            extra["error"] = type(error).__name__
             raise
-        else:
+        finally:
             elapsed = self._clock() - start
-            self.add(name, elapsed)
+            self.add(name, elapsed - self._nested.pop())
+            if self._nested:
+                self._nested[-1] += elapsed
             if traced:
-                self._emit_end(tracer, name, elapsed)
-
-    @staticmethod
-    def _emit_end(tracer, name: str, elapsed: float, **extra) -> None:
-        if getattr(tracer, "include_wall_time", False):
-            extra["wall_seconds"] = max(0.0, float(elapsed))
-        tracer.emit("phase.end", phase=name, **extra)
+                if getattr(tracer, "include_wall_time", False):
+                    extra["wall_seconds"] = max(0.0, float(elapsed))
+                tracer.emit("phase.end", phase=name, **extra)
 
     def wrap(self, name: str, func: Callable) -> Callable:
         """Return ``func`` with every call timed under ``name``."""
@@ -78,10 +80,6 @@ class PhaseTimer:
                 return func(*args, **kwargs)
 
         return timed
-
-    def now(self) -> float:
-        """The timer's clock, for manual span measurements."""
-        return self._clock()
 
     def add(self, name: str, seconds: float) -> None:
         """Credit ``seconds`` to ``name`` directly."""
@@ -95,7 +93,7 @@ class PhaseTimer:
         return float(sum(self._seconds.values()))
 
     def timings(self) -> dict:
-        """Snapshot ``{phase: seconds}`` (canonical phases always present)."""
+        """Snapshot ``{phase: self-seconds}`` (canonical phases always present)."""
         out = {name: 0.0 for name in PHASES}
         out.update(self._seconds)
         return out

@@ -390,7 +390,7 @@ class IngestionService:
                 "repro_serve_health",
                 "Service health (0=starting 1=ready 2=degraded 3=shedding 4=draining).",
             ).set(HEALTH_CODES[state])
-        if changed and self.tracer is not None and self.tracer.enabled:
+        if changed and self.tracer.enabled:
             self.tracer.emit("serve.health", state=state)
 
     def _refresh_health(self) -> None:
@@ -426,7 +426,7 @@ class IngestionService:
                 value_gauge.set(float(status.value), slo=status.name)
             if status.breached:
                 breached.add(status.name)
-        tracing = self.tracer is not None and self.tracer.enabled
+        tracing = self.tracer.enabled
         for status in statuses:
             if status.name in breached and status.name not in self._slo_breached:
                 if tracing:
@@ -478,7 +478,7 @@ class IngestionService:
         )
         self._open = _OpenDay(day=int(day), tasks=tasks, first_seq=seq)
         self._count_wal_record()
-        if self.tracer is not None and self.tracer.enabled:
+        if self.tracer.enabled:
             self.tracer.emit("serve.day.open", day=int(day), n_tasks=len(tasks), seq=seq)
         self._refresh_health()
 
@@ -536,7 +536,7 @@ class IngestionService:
         if clean.batch_id is not None:
             self._seen_batch_ids.add(clean.batch_id)
         self._refresh_health()
-        if self.tracer is not None and self.tracer.enabled:
+        if self.tracer.enabled:
             self.tracer.emit(
                 "serve.batch.accepted",
                 day=clean.day,
@@ -554,7 +554,7 @@ class IngestionService:
         return SubmitResult(True, seq=seq, rejected_reports=rejected_reports)
 
     def _rejected(self, batch: ReportBatch, reason: str, rejected_reports=()) -> SubmitResult:
-        if self.tracer is not None and self.tracer.enabled:
+        if self.tracer.enabled:
             self.tracer.emit(
                 "serve.batch.rejected",
                 day=int(batch.day),
@@ -569,7 +569,7 @@ class IngestionService:
         return SubmitResult(False, reason=reason, rejected_reports=tuple(rejected_reports))
 
     def _count_rejected_reports(self, screen) -> None:
-        if self.tracer is not None and self.tracer.enabled:
+        if self.tracer.enabled:
             self.tracer.emit("serve.rejected", counts=screen.counts())
         if self.metrics is not None:
             counter = self.metrics.counter(
@@ -611,7 +611,7 @@ class IngestionService:
         seq = self.wal.append("day.commit", marker, sync=True)
         self._count_wal_record()
         self._sealed_days.append((open_day.day, open_day.first_seq, seq))
-        if self.tracer is not None and self.tracer.enabled:
+        if self.tracer.enabled:
             self.tracer.emit(
                 "serve.day.sealed",
                 day=open_day.day,
@@ -704,7 +704,7 @@ class IngestionService:
         self.last_result = result
         self._refresh_health()
         elapsed = max(0.0, self._clock() - started)
-        if self.tracer is not None and self.tracer.enabled:
+        if self.tracer.enabled:
             applied = {
                 "day": int(day),
                 "ordinal": int(ordinal),
@@ -816,7 +816,7 @@ class IngestionService:
             if ordinal < applied:
                 # Already inside the restored checkpoint: skipping (rather
                 # than reapplying) is what keeps recovery bit-identical.
-                if self.tracer is not None and self.tracer.enabled:
+                if self.tracer.enabled:
                     self.tracer.emit(
                         "serve.day.skipped", day=day_state.day, ordinal=ordinal
                     )
@@ -829,7 +829,7 @@ class IngestionService:
                 day_state.day, ordinal, day_state.tasks, day_state.batches
             )
         self._open = open_day
-        if self.tracer is not None and self.tracer.enabled:
+        if self.tracer.enabled:
             self.tracer.emit(
                 "serve.recovered",
                 applied_days=self._applied_days,
@@ -845,7 +845,7 @@ class IngestionService:
         """Stop admitting traffic; already-durable data stays recoverable."""
         self._draining = True
         self._set_health(DRAINING)
-        if self.tracer is not None and self.tracer.enabled:
+        if self.tracer.enabled:
             self.tracer.emit("serve.drain", open_day=self.current_day, queued=self.queue_depth)
 
     @property

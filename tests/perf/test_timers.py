@@ -171,6 +171,88 @@ def test_phase_wall_time_opt_in():
     assert end["wall_seconds"] == 1.0
 
 
+def test_nested_phase_credits_its_time_to_the_inner_phase():
+    clock = FakeClock()
+    timer = PhaseTimer(clock=clock)
+    with timer.phase("allocate"):
+        clock.t += 1.0
+        with timer.phase("collect"):
+            clock.t += 2.0
+        with timer.phase("truth"):
+            clock.t += 0.5
+            with timer.phase("collect"):
+                clock.t += 0.25
+        clock.t += 4.0
+    assert timer.timings() == {
+        "identify": 0.0,
+        "allocate": 5.0,
+        "collect": 2.25,
+        "truth": 0.5,
+    }
+    assert timer.total == 7.75  # self-times partition the outer span
+
+
+def test_wrapped_callbacks_nest_inside_an_open_phase():
+    clock = FakeClock()
+    timer = PhaseTimer(clock=clock)
+
+    def observe():
+        clock.t += 3.0
+
+    with timer.phase("allocate"):
+        clock.t += 1.0
+        timer.wrap("collect", observe)()
+        timer.wrap("collect", observe)()
+    assert timer.get("allocate") == 1.0
+    assert timer.get("collect") == 6.0
+
+
+def test_phase_end_wall_seconds_stay_inclusive():
+    from repro.observability import RunTracer
+
+    clock = FakeClock()
+    tracer = RunTracer(include_wall_time=True)
+    timer = PhaseTimer(clock=clock, tracer=tracer)
+    with timer.phase("allocate"):
+        clock.t += 1.0
+        with timer.phase("collect"):
+            clock.t += 2.0
+    ends = [r["data"] for r in tracer.events("phase.end")]
+    assert ends == [
+        {"phase": "collect", "wall_seconds": 2.0},
+        {"phase": "allocate", "wall_seconds": 3.0},
+    ]
+    assert timer.get("allocate") == 1.0
+
+
+def test_exception_in_a_nested_phase_unwinds_both_phases():
+    from repro.observability import RunTracer
+
+    clock = FakeClock()
+    tracer = RunTracer()
+    timer = PhaseTimer(clock=clock, tracer=tracer)
+    try:
+        with timer.phase("allocate"):
+            clock.t += 1.0
+            with timer.phase("truth"):
+                clock.t += 2.0
+                raise RuntimeError("boom")
+    except RuntimeError:
+        pass
+    assert timer.get("allocate") == 1.0
+    assert timer.get("truth") == 2.0
+    assert [(r["type"], r["data"]) for r in tracer.events()] == [
+        ("phase.start", {"phase": "allocate"}),
+        ("phase.start", {"phase": "truth"}),
+        ("phase.end", {"phase": "truth", "error": "RuntimeError"}),
+        ("phase.end", {"phase": "allocate", "error": "RuntimeError"}),
+    ]
+    # The stack is empty again: a later phase is not charged to either.
+    with timer.phase("collect"):
+        clock.t += 4.0
+    assert timer.timings() == {"identify": 0.0, "allocate": 1.0, "collect": 4.0, "truth": 2.0}
+
+
 def test_simulation_day_records_carry_timings():
     config = ExperimentConfig(replications=1, n_days=3, seed=5)
     dataset = dataset_factory("synthetic", config, seed=0)

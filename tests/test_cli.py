@@ -366,6 +366,24 @@ def test_serve_telemetry_outputs(tmp_path, capsys):
     assert any('"serve.day.applied"' in line for line in trace_path.read_text().splitlines())
 
 
+def test_serve_trace_covers_the_system_it_drives(tmp_path, capsys):
+    import json
+
+    trace_path = tmp_path / "trace.jsonl"
+    args = [
+        "serve", "--wal-dir", str(tmp_path / "wal"),
+        "--days", "2", "--users", "8", "--tasks", "12", "--sync", "none",
+        "--trace-out", str(trace_path),
+    ]
+    assert main(args) == 0
+    types = {json.loads(line)["type"] for line in trace_path.read_text().splitlines()}
+    assert {"serve.day.applied", "step.start", "phase.start", "mle.iteration"} <= types
+    capsys.readouterr()
+
+    assert main(["trace", "profile", str(trace_path)]) == 0
+    assert "phase:" in capsys.readouterr().out
+
+
 # --- trace analytics subcommands --------------------------------------------
 
 
