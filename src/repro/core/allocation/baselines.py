@@ -20,7 +20,21 @@ __all__ = ["RandomAllocator", "ReliabilityGreedyAllocator"]
 
 
 class RandomAllocator:
-    """Uniformly random capacity-filling allocation."""
+    """Uniformly random capacity-filling allocation.
+
+    Semantically a walk over every ``(user, task)`` pair in one random
+    order, taking each pair that still fits in its user's remaining
+    capacity.  Whether a pair is taken depends only on its own user's
+    remaining capacity, so the walk runs for all users at once: the same
+    ``permutation(n_users * n_tasks)`` is drawn, inverted and sorted per
+    user into each user's visit sequence, and step ``k`` visits every
+    user's ``k``-th task together, subtracting ``np.where(fits, t, 0.0)``.
+    Each user's capacity therefore falls in the same order by the same
+    values as in the pair-by-pair walk (frozen as
+    :func:`repro.perf.reference.reference_random_allocate`), so the
+    assignment is bit-identical and the generator is left in the same
+    state.
+    """
 
     def __init__(self, seed=None):
         self._rng = ensure_rng(seed)
@@ -39,11 +53,20 @@ class RandomAllocator:
         eligible = problem.eligible_mask()
         matrix = np.zeros((n_users, n_tasks), dtype=bool)
         order = self._rng.permutation(n_users * n_tasks)
-        for flat in order:
-            user, task = divmod(int(flat), n_tasks)
-            if eligible[user] and times[user, task] <= remaining[user] + 1e-12:
-                matrix[user, task] = True
-                remaining[user] -= times[user, task]
+        # ``position`` inverts the permutation: the step at which the walk
+        # reaches each pair.  Sorting each user's row of positions gives
+        # that user's tasks in visit order (the same sequence a stable
+        # argsort of ``order`` by user yields); column k of ``visits``
+        # holds every user's k-th task.
+        position = np.empty_like(order)
+        position[order] = np.arange(order.size)
+        visits = np.argsort(position.reshape(n_users, n_tasks).T, axis=0)
+        users = np.arange(n_users)
+        for tasks in visits:
+            step = times[users, tasks]
+            fits = eligible & (step <= remaining + 1e-12)
+            remaining -= np.where(fits, step, 0.0)
+            matrix[users[fits], tasks[fits]] = True
         return Assignment(matrix=matrix)
 
 

@@ -10,34 +10,44 @@ only shrink, and therefore every task's best marginal efficiency only ever
 *decreases* over the run.  That monotonicity is exactly the CELF
 (cost-effective lazy forward selection) precondition: a stale cached
 efficiency is always an **upper bound** on the current one, so stale
-entries can sit untouched in a max-heap and only the entry that surfaces
-at the top ever needs re-evaluation.
+entries can sit untouched in a max-heap and only entries that surface at
+the top ever need re-evaluation.
 
-The kernel keeps one heap entry per task, tagged with staleness epochs:
+**Freshness is "the cached user is still feasible".**  The kernel keeps
+one heap entry per task holding its efficiency and the first user that
+attains it.  A task's miss changes only when that task is picked, and the
+kernel re-evaluates a picked task at once, so every heap entry was
+evaluated under its task's current miss.  Between picks of a task its
+efficiency column ``p_ij · miss_j (/ t_ij)`` is fixed and its feasible set
+only shrinks (capacities fall; only the picked pair leaves the
+unassigned set).  The cached user is the *first* maximiser, so while it
+stays feasible no earlier user can have caught up and no later user can
+have overtaken it: the entry is exact iff
+``times[user, task] <= remaining[user] + 1e-12`` still holds.  A fresh
+top-of-heap entry is therefore the true global maximum.
 
-- ``miss_epoch[task]`` advances whenever the task's coverage changes
-  (it received an assignment), and
-- ``cap_epoch[user]`` advances whenever that user's remaining capacity
-  shrinks.
-
-A popped entry is *fresh* when both epochs still match what the entry was
-evaluated under; every other change provably cannot alter the task's
-masked argmax (a non-best user dropping out of feasibility only removes
-candidates that were already dominated — ``np.argmax`` returns the first
-maximum, and the cached best user is by construction the lowest-indexed
-one).  A fresh top-of-heap entry is therefore the true global maximum,
-and re-evaluation is a single vectorised masked-argmax over users.
+**Cached efficiency columns and block re-evaluation.**  The kernel keeps
+one Fortran-order ``(users × tasks)`` matrix of efficiency columns, built
+once per call; a pick rewrites only the picked column.  A re-evaluation is
+then the capacity mask times the cached column and one ``argmax``.
+When the heap top is stale, the contiguous run of stale entries beneath
+it (up to :data:`BLOCK`) is popped and re-evaluated in one
+``(users × k)`` masked argmax, then pushed back.  Stale values are upper
+bounds and only a fresh top is ever picked, so exactness does not depend
+on the block size.
 
 **Bit-identical picks.**  Heap entries order by ``(-efficiency, task)``,
 so ties in efficiency break toward the lowest task index — exactly
-``np.argmax`` over the per-task efficiency array — and the per-task
-re-evaluation performs the same element-wise operations in the same order
-as the eager loop's ``best_for_task``, so every efficiency value is
-bit-identical too.  ``tests/perf/test_allocation_equivalence.py`` fuzzes
-the kernel against the frozen eager copy
+``np.argmax`` over the per-task efficiency array — and every efficiency is
+computed by the same element-wise operations in the same order as the
+eager loop's ``best_for_task`` (``p * miss``, then ``/ t``, then the
+feasibility mask), with ``np.argmax``'s lowest-user tie-break, so every
+value is bit-identical too.  ``tests/perf/test_allocation_equivalence.py``
+fuzzes the kernel against the frozen eager copy
 (:func:`repro.perf.reference.reference_greedy_allocate`) across spatial
 pair-times, eligibility masks, cost budgets, warm starts, tie-heavy
-expertise and zero-capacity users.
+expertise, zero-capacity users and domain-structured instances whose stale
+runs fill whole blocks.
 """
 
 from __future__ import annotations
@@ -51,20 +61,25 @@ from repro.core.allocation.base import AllocationProblem, Assignment, allocation
 
 __all__ = ["GreedyStats", "GreedyOutcome", "lazy_greedy_allocate"]
 
+#: Most stale heap entries re-evaluated together in one masked argmax.
+BLOCK = 64
+
 
 @dataclass(frozen=True)
 class GreedyStats:
     """Work counters of one lazy-greedy run (telemetry + CELF audits).
 
-    ``evaluations`` counts vectorised per-task masked-argmax evaluations
-    after the initial build (the build itself evaluates all ``n_tasks``
-    columns in one shot); the eager reference instead re-evaluates every
-    task sharing the picked user after every pick, so
-    ``evaluations / picks`` staying near 2 is the laziness actually
-    paying off.  ``max_refresh_delta`` is the largest ``fresh - stale``
-    efficiency observed when re-evaluating a stale entry; submodularity
-    guarantees it is never positive, and the CELF invariant test asserts
-    exactly that.
+    ``evaluations`` counts per-task masked-argmax re-evaluations after the
+    initial build (the build itself evaluates all ``n_tasks`` columns in
+    one shot): the picked task after each pick, plus every stale entry
+    popped for re-evaluation — a block of ``k`` stale entries counts
+    ``k``.  The eager reference instead re-evaluates every task sharing the
+    picked user after every pick, so a small ``evaluations / picks`` is
+    the laziness paying off (about 5 on the 500-user, 8-domain synthetic
+    benchmark days).  ``max_refresh_delta`` is the largest ``fresh -
+    stale`` efficiency observed when re-evaluating a stale entry;
+    submodularity guarantees it is never positive, and the CELF invariant
+    test asserts exactly that.
     """
 
     picks: int = 0
@@ -136,124 +151,106 @@ def lazy_greedy_allocate(
         active = np.asarray(active_tasks, dtype=bool)
         if active.shape != (n_tasks,):
             raise ValueError("active_tasks must have one flag per task")
-        active = active.copy()
 
-    spent = 0.0
-    budget_blocked = np.zeros(n_tasks, dtype=bool)
-
-    # Column-access layout for the per-task re-evaluations: Fortran order
-    # makes ``[:, task]`` slices contiguous (a broadcast per-task time row —
-    # stride 0 — is already free to slice), ``avail`` folds the fixed
-    # eligibility into the assignment complement, and ``remaining_eps``
-    # keeps ``remaining + 1e-12`` maintained incrementally.  Scratch buffers
-    # avoid per-call allocations.  All of it is value-identical to the
-    # frozen eager loop: boolean algebra is exact, and ``x * True`` /
-    # ``x * False`` equal ``np.where``'s ``x`` / ``0.0`` for these finite
-    # non-negative gains.
-    p_f = np.asfortranarray(p)
+    # Task-major layout: ``p_f``, ``efficiency`` and ``avail`` are
+    # Fortran-order (users x tasks), so one task's users — a column, or a
+    # row of the ``.T`` views — are contiguous and a block of tasks is a
+    # row gather.  A broadcast per-task time row (stride 0) is already cheap
+    # to gather.  ``remaining_eps`` keeps ``remaining + 1e-12`` maintained
+    # incrementally.  ``efficiency`` caches every task's efficiency column,
+    # ``p * miss`` then ``/ t`` exactly as the eager loop computes it, zeroed
+    # where the pair is unavailable (assigned or ineligible — ``avail`` only
+    # ever loses entries), so multiplying it by the capacity mask reproduces
+    # ``best_for_task``'s masked gains bit for bit (``x * True`` / ``x *
+    # False`` equal ``np.where``'s ``x`` / ``0.0`` for these finite
+    # non-negative gains).
     times_f = times if times.ndim == 2 and times.strides[0] == 0 else np.asfortranarray(times)
+    p_f = np.asfortranarray(p)
     avail = np.asfortranarray(~assigned & eligible[:, None])
     remaining_eps = remaining + 1e-12
+    efficiency = np.multiply(p_f, miss[None, :], order="F")
+    if divide_by_time:
+        efficiency /= times
+    efficiency[~avail] = 0.0
+    times_t, avail_t, efficiency_t = times_f.T, avail.T, efficiency.T
     feas_buf = np.empty(n_users, dtype=bool)
     gain_buf = np.empty(n_users, dtype=float)
+    rows = np.arange(BLOCK)
 
-    def evaluate(task: int) -> "tuple[float, int]":
-        # Same operations (element-wise, in the same order) as the frozen
-        # eager loop's best_for_task — efficiencies must stay bit-identical.
-        if not active[task] or budget_blocked[task]:
-            return (0.0, -1)
-        feasible = np.less_equal(times_f[:, task], remaining_eps, out=feas_buf)
-        feasible &= avail[:, task]
-        if not feasible.any():
-            return (0.0, -1)
-        gain = np.multiply(p_f[:, task], miss[task], out=gain_buf)
-        if divide_by_time:
-            gain /= times_f[:, task]
-        np.multiply(gain, feasible, out=gain)
-        user = int(np.argmax(gain))
-        return (float(gain[user]), user)
-
-    # Initial build: one vectorised masked-argmax over the whole matrix.
-    # Element-wise, these are the same operations evaluate() performs per
-    # column, so the initial efficiencies are bit-identical as well.
-    feasible = (~assigned) & eligible[:, None] & (times <= remaining[:, None] + 1e-12)
-    gain = p * miss[None, :]
-    if divide_by_time:
-        gain = gain / times
-    gain = np.where(feasible, gain, 0.0)
+    # Initial build: one masked argmax over the whole matrix.
+    gain = np.where(times <= remaining_eps[:, None], efficiency, 0.0)
     build_user = np.argmax(gain, axis=0)
     build_eff = gain[build_user, np.arange(n_tasks)]
+    del gain
 
-    # Staleness epochs: a heap entry is current iff the task's coverage and
-    # its cached best user's capacity are both unchanged since evaluation.
-    # Plain lists, not ndarrays — the pop loop reads these one scalar at a
-    # time, where list indexing is several times cheaper.
-    miss_epoch = [0] * n_tasks
-    cap_epoch = [0] * n_users
-    cached_user = [-1] * n_tasks
-    entry_miss_epoch = [0] * n_tasks
-    entry_cap_epoch = [0] * n_tasks
-
-    heap: list = []
-    for task in np.flatnonzero(active & (build_eff > 0.0)).tolist():
-        cached_user[task] = int(build_user[task])
-        heap.append((-build_eff[task], task))
+    # Entries are (-efficiency, task, cached best user); a task has at most
+    # one entry, so the user never takes part in the ordering.
+    heap = [
+        (-build_eff[task], task, int(build_user[task]))
+        for task in np.flatnonzero(active & (build_eff > 0.0)).tolist()
+    ]
     heapq.heapify(heap)
 
     picks = 0
     pops = 0
     evaluations = 0
     max_refresh_delta = float("-inf")
-
-    def refresh(task: int, stale_value: float) -> None:
-        """Re-evaluate a stale entry and re-insert it if still promising."""
-        nonlocal evaluations, max_refresh_delta
-        value, user = evaluate(task)
-        evaluations += 1
-        delta = value - stale_value
-        if delta > max_refresh_delta:
-            max_refresh_delta = delta
-        if value > 0.0:
-            cached_user[task] = user
-            entry_miss_epoch[task] = miss_epoch[task]
-            entry_cap_epoch[task] = cap_epoch[user]
-            heapq.heappush(heap, (-value, task))
-
+    spent = 0.0
     added: list = []
     while heap:
-        neg_value, task = heapq.heappop(heap)
-        pops += 1
-        user = cached_user[task]
-        if (
-            entry_miss_epoch[task] != miss_epoch[task]
-            or entry_cap_epoch[task] != cap_epoch[user]
-        ):
-            refresh(task, -neg_value)
+        _, task, user = heap[0]
+        if times_f[user, task] > remaining_eps[user]:
+            # Stale top: pop the contiguous run of stale entries and
+            # re-evaluate them in one masked argmax.
+            block = [heapq.heappop(heap)]
+            while len(block) < BLOCK and heap:
+                _, task, user = heap[0]
+                if times_f[user, task] <= remaining_eps[user]:
+                    break
+                block.append(heapq.heappop(heap))
+            k = len(block)
+            pops += k
+            evaluations += k
+            tasks = np.array([entry[1] for entry in block])
+            gain = efficiency_t[tasks]
+            gain *= times_t[tasks] <= remaining_eps
+            users = gain.argmax(axis=1)
+            values = gain[rows[:k], users]
+            for (neg_stale, task, _), value, user in zip(block, values.tolist(), users.tolist()):
+                # fresh - stale, as fresh + (-stale): entries hold -stale.
+                delta = value + neg_stale
+                if delta > max_refresh_delta:
+                    max_refresh_delta = delta
+                if value > 0.0:
+                    heapq.heappush(heap, (-value, task, user))
             continue
+        heapq.heappop(heap)
+        pops += 1
         # Fresh top of heap == the eager loop's np.argmax winner.
         if cost_budget is not None and spent + costs[task] > cost_budget + 1e-12:
             # Cost only grows, so this task can never be afforded again.
-            budget_blocked[task] = True
             continue
         assigned[user, task] = True
         avail[user, task] = False
         remaining[user] -= times_f[user, task]
         remaining_eps[user] = remaining[user] + 1e-12
-        cap_epoch[user] += 1
         miss[task] *= 1.0 - p_f[user, task]
-        miss_epoch[task] += 1
         spent += costs[task]
         added.append((user, task))
         picks += 1
-        # The picked task is stale by construction; re-evaluating it now
-        # saves the pop-and-refresh round trip it would otherwise cost.
-        value, next_user = evaluate(task)
+        # The picked task's column is the only one whose miss changed:
+        # rewrite it and re-evaluate the task now.
+        column = np.multiply(p_f[:, task], miss[task], out=efficiency_t[task])
+        if divide_by_time:
+            column /= times_t[task]
+        column *= avail_t[task]
+        feasible = np.less_equal(times_t[task], remaining_eps, out=feas_buf)
+        gain = np.multiply(column, feasible, out=gain_buf)
+        next_user = int(gain.argmax())
+        value = float(gain[next_user])
         evaluations += 1
         if value > 0.0:
-            cached_user[task] = next_user
-            entry_miss_epoch[task] = miss_epoch[task]
-            entry_cap_epoch[task] = cap_epoch[next_user]
-            heapq.heappush(heap, (-value, task))
+            heapq.heappush(heap, (-value, task, next_user))
 
     assignment = Assignment(matrix=assigned)
     return GreedyOutcome(

@@ -291,19 +291,19 @@ def _worker_arrays(name: str, shape: tuple):
     """Attach (once per process per solve) the solve's observation block."""
     entry = _WORKER_SHM.get(name)
     if entry is None:
-        from multiprocessing import resource_tracker, shared_memory
+        from multiprocessing import shared_memory
 
         for stale_name, (stale_shm, _, _) in list(_WORKER_SHM.items()):
             stale_shm.close()
             del _WORKER_SHM[stale_name]
         _WORKER_STATIC.clear()
+        # Attaching registers the name with the resource tracker, but pool
+        # workers share the coordinator's tracker (inherited under fork,
+        # handed over under spawn/forkserver) and its registry is a set, so
+        # this is a no-op duplicate.  The coordinator owns the segment and
+        # its unlink() unregisters it once; a worker must not unregister it
+        # too, or the tracker prints a KeyError traceback at that unlink.
         shm = shared_memory.SharedMemory(name=name)
-        try:
-            # The coordinator owns the segment's lifetime; without this the
-            # worker's resource tracker would try to clean it up too.
-            resource_tracker.unregister(shm._name, "shared_memory")
-        except Exception:  # pragma: no cover — tracker API differences
-            pass
         n_users, n_tasks = shape
         n_values = n_users * n_tasks
         values = np.ndarray(shape, dtype=np.float64, buffer=shm.buf[: n_values * 8])

@@ -19,6 +19,10 @@ layer replaced:
   re-evaluates every stale task after every pick (the loop the CELF
   lazy-greedy kernel in :mod:`repro.core.allocation.lazy_greedy`
   replaced; picks must stay bit-identical),
+- :func:`reference_random_allocate` — the warm-up
+  :class:`~repro.core.allocation.baselines.RandomAllocator`'s pair-by-pair
+  Python walk over one random permutation (the vectorised per-user walk
+  must give the same matrix and leave the generator in the same state),
 - :func:`reference_serial_estimate_truth` — the single-process sparse
   §4.1 MLE, frozen at the point the domain-sharded engine
   (:mod:`repro.core.parallel`) was introduced.  The ``mle_parallel``
@@ -59,6 +63,7 @@ __all__ = [
     "reference_estimate_truth",
     "reference_serial_estimate_truth",
     "reference_greedy_allocate",
+    "reference_random_allocate",
     "ReferenceDynamicHierarchicalClustering",
 ]
 
@@ -159,6 +164,28 @@ def reference_greedy_allocate(
         objective=allocation_objective(problem, assignment),
         spent_cost=spent,
     )
+
+
+def reference_random_allocate(problem, rng: np.random.Generator):
+    """The seed ``RandomAllocator.allocate`` walk, drawing from ``rng``.
+
+    Visits every ``(user, task)`` pair of one random permutation in order
+    and takes each pair that still fits in its user's remaining capacity.
+    """
+    from repro.core.allocation.base import Assignment
+
+    n_users, n_tasks = problem.n_users, problem.n_tasks
+    times = problem.pair_times()
+    remaining = problem.capacities.astype(float).copy()
+    eligible = problem.eligible_mask()
+    matrix = np.zeros((n_users, n_tasks), dtype=bool)
+    order = rng.permutation(n_users * n_tasks)
+    for flat in order:
+        user, task = divmod(int(flat), n_tasks)
+        if eligible[user] and times[user, task] <= remaining[user] + 1e-12:
+            matrix[user, task] = True
+            remaining[user] -= times[user, task]
+    return Assignment(matrix=matrix)
 
 
 def reference_linkage_sums(base: np.ndarray, groups: Sequence[Sequence[int]]) -> np.ndarray:

@@ -6,10 +6,16 @@ sharding is a pure execution strategy, never a numerical change.
 """
 
 import logging
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.parallel import (
     ParallelConfig,
     ParallelTruthEngine,
@@ -324,6 +330,42 @@ class TestProcessPool:
         finally:
             pooled.close()
         assert_incorporate_equal(serial, parallel)
+
+    def test_pool_solves_print_no_resource_tracker_traceback(self):
+        """Workers share the coordinator's resource tracker: two pooled
+        solves (the second evicts the first segment from the workers'
+        cache) must leave the tracker nothing to complain about when the
+        coordinator unlinks each segment."""
+        script = textwrap.dedent(
+            """
+            import numpy as np
+            from repro.core.parallel import ParallelConfig, ParallelTruthEngine
+            from repro.truthdiscovery.base import ObservationMatrix
+
+            rng = np.random.default_rng(3)
+            mask = rng.random((12, 40)) < 0.4
+            mask[0] = True
+            values = np.where(mask, rng.normal(5.0, 2.0, mask.shape), 0.0)
+            observations = ObservationMatrix(values=values, mask=mask)
+            domains = rng.integers(0, 4, 40)
+            engine = ParallelTruthEngine(ParallelConfig(n_shards=2, use_processes=True))
+            try:
+                for _ in range(2):
+                    engine.estimate_truth(observations, domains)
+                assert engine.fallbacks == 0
+            finally:
+                engine.close()
+            print("solved")
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "solved"
+        assert "Traceback" not in out.stderr, out.stderr
+        assert "KeyError" not in out.stderr, out.stderr
 
     def test_timeout_falls_back_to_serial(self):
         observations, domains = make_observations(seed=17, n_tasks=30)
